@@ -26,9 +26,10 @@ import (
 )
 
 // Scratch holds the reusable per-worker counters of Algorithm 1 (m_in and
-// m_out), stored as dense arrays indexed by NodeID with an epoch mark per
-// slot: a slot is live only when its mark equals the current epoch, so
-// clearing between scans is one epoch increment instead of a map clear.
+// m_out), stored as dense arrays indexed by NodeID (package stream indexes
+// it by dense per-node slots instead) with an epoch mark per slot: a slot
+// is live only when its mark equals the current epoch, so clearing between
+// scans is one epoch increment instead of a map clear.
 // Reusing a Scratch across centers keeps the hot loop allocation free once
 // the arrays have grown to the graph's node space (Grow preallocates).
 // A Scratch must not be shared between goroutines.
@@ -65,8 +66,8 @@ func (s *Scratch) Grow(n int) {
 	s.mark = mark
 }
 
-// reset invalidates every slot in O(1) by advancing the epoch.
-func (s *Scratch) reset() {
+// Reset invalidates every slot in O(1) by advancing the epoch.
+func (s *Scratch) Reset() {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: marks from 2^32 scans ago could alias
 		clear(s.mark)
@@ -74,18 +75,18 @@ func (s *Scratch) reset() {
 	}
 }
 
-// vals returns the live (m_in, m_out) counters for node u (zero when the
+// Vals returns the live (m_in, m_out) counters for node u (zero when the
 // slot is stale or out of range).
-func (s *Scratch) vals(u temporal.NodeID) (cin, cout uint64) {
+func (s *Scratch) Vals(u temporal.NodeID) (cin, cout uint64) {
 	if int(u) < len(s.mark) && s.mark[u] == s.epoch {
 		return s.in[u], s.out[u]
 	}
 	return 0, 0
 }
 
-// bump increments m_out (out == true) or m_in for node u, reviving a stale
+// Bump increments m_out (out == true) or m_in for node u, reviving a stale
 // slot first.
-func (s *Scratch) bump(u temporal.NodeID, out bool) {
+func (s *Scratch) Bump(u temporal.NodeID, out bool) {
 	if int(u) >= len(s.mark) {
 		s.Grow(int(u) + 1)
 	}
@@ -124,33 +125,35 @@ func CountStarPairRange(su temporal.Seq, delta temporal.Timestamp,
 	for i := from; i < to; i++ {
 		t1, o1 := times[i], others[i]
 		d1 := motif.DirOf(outs[i])
-		s.reset()
+		s.Reset()
 		var nIn, nOut uint64 // #e_in, #e_out: middle-edge candidates so far
 		for j := i + 1; j < n; j++ {
-			if times[j]-t1 > delta {
+			// times[j] >= t1, so the difference is exact as a uint64
+			// even where the int64 subtraction would overflow.
+			if uint64(times[j]-t1) > uint64(delta) {
 				break
 			}
 			o3 := others[j]
 			d3 := motif.DirOf(outs[j])
 			if o3 == o1 {
-				cin, cout := s.vals(o1)
+				cin, cout := s.Vals(o1)
 				counts.Pair[motif.PairIndex(d1, motif.In, d3)] += cin
 				counts.Pair[motif.PairIndex(d1, motif.Out, d3)] += cout
 				counts.Star[motif.StarIndex(motif.StarII, d1, motif.In, d3)] += nIn - cin
 				counts.Star[motif.StarIndex(motif.StarII, d1, motif.Out, d3)] += nOut - cout
 			} else {
-				cin3, cout3 := s.vals(o3)
-				cin1, cout1 := s.vals(o1)
+				cin3, cout3 := s.Vals(o3)
+				cin1, cout1 := s.Vals(o1)
 				counts.Star[motif.StarIndex(motif.StarI, d1, motif.In, d3)] += cin3
 				counts.Star[motif.StarIndex(motif.StarI, d1, motif.Out, d3)] += cout3
 				counts.Star[motif.StarIndex(motif.StarIII, d1, motif.In, d3)] += cin1
 				counts.Star[motif.StarIndex(motif.StarIII, d1, motif.Out, d3)] += cout1
 			}
 			if outs[j] {
-				s.bump(o3, true)
+				s.Bump(o3, true)
 				nOut++
 			} else {
-				s.bump(o3, false)
+				s.Bump(o3, false)
 				nIn++
 			}
 		}
@@ -186,11 +189,11 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 		if dedup && oi < u {
 			continue
 		}
-		ti := times[i]
+		end := temporal.WindowEnd(times[i], delta)
 		di := motif.DirOf(outs[i])
 		idi := ids[i]
 		for j := i + 1; j < n; j++ {
-			if times[j]-ti > delta {
+			if times[j] > end {
 				break
 			}
 			oj := others[j]
@@ -210,7 +213,7 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 			// Only edges with t_k >= t_j − δ can participate (Triangle-I
 			// needs t_j − t_k ≤ δ; types II/III start at t_i ≥ t_j − δ).
 			bTimes := between.Time
-			minT := times[j] - delta
+			minT := temporal.WindowStart(times[j], delta)
 			lo, hi := 0, bn
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
@@ -222,7 +225,7 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 			}
 			bIDs, bOuts := between.ID, between.Out
 			for k := lo; k < bn; k++ {
-				if bTimes[k]-ti > delta {
+				if bTimes[k] > end {
 					break // Triangle-III needs t_k − t_i ≤ δ
 				}
 				dk := motif.DirOf(bOuts[k])

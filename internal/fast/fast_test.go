@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -277,5 +278,48 @@ func TestNodeProfile(t *testing.T) {
 	pe := NodeProfile(g, 4, 10)
 	if got := pe.At(motif.Label{Row: 6, Col: 5}); got != 1 {
 		t.Errorf("e's M65 participation = %d, want 1", got)
+	}
+}
+
+// TestExtremeTimestamps: counts depend only on time differences, so
+// shifting every timestamp to either end of the int64 range leaves them
+// unchanged, and edges further apart than MaxInt64 are never within δ —
+// the window bounds must not overflow.
+func TestExtremeTimestamps(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	const delta, span = 30, 200
+	for trial := 0; trial < 10; trial++ {
+		edges := make([]temporal.Edge, 300)
+		for i := range edges {
+			u, v := temporal.NodeID(r.Intn(12)), temporal.NodeID(r.Intn(12))
+			if u == v {
+				v = (v + 1) % 12
+			}
+			edges[i] = temporal.Edge{From: u, To: v, Time: r.Int63n(span)}
+		}
+		want := Count(temporal.FromEdges(edges), delta).ToMatrix()
+		for _, shift := range []int64{math.MinInt64, math.MaxInt64 - span} {
+			shifted := make([]temporal.Edge, len(edges))
+			for i, e := range edges {
+				shifted[i] = temporal.Edge{From: e.From, To: e.To, Time: e.Time + shift}
+			}
+			g := temporal.FromEdges(shifted)
+			for name, got := range map[string]motif.Matrix{
+				"Count": Count(g, delta).ToMatrix(), "CountRecount": CountRecount(g, delta).ToMatrix(),
+			} {
+				if !got.Equal(&want) {
+					t.Fatalf("%s shifted by %d: diff %v", name, shift, got.Diff(&want))
+				}
+			}
+		}
+	}
+	// The first edge lies more than MaxInt64 before the last three, whose
+	// int64 differences to it would wrap: only the final star fits in δ.
+	g := temporal.FromEdges([]temporal.Edge{
+		{From: 0, To: 1, Time: -9e18}, {From: 1, To: 2, Time: 0}, {From: 2, To: 0, Time: 9e18 - 1},
+		{From: 0, To: 1, Time: 9e18}, {From: 0, To: 2, Time: 9e18 + 1},
+	})
+	if got := Count(g, delta).ToMatrix(); got.Total() != 1 {
+		t.Fatalf("extreme spread: total %d, want 1 (the final 2->0, 0->1, 0->2 star)\n%v", got.Total(), &got)
 	}
 }

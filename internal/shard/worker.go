@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 
 	"hare/internal/approx"
 	"hare/internal/higher"
@@ -74,6 +75,10 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
 		return
 	}
+	// Workers never changes the partial, but every kernel below starts that
+	// many goroutines with per-worker state: clamp the wire's hint so one
+	// request cannot allocate without bound.
+	sub.Workers = min(sub.Workers, runtime.GOMAXPROCS(0))
 	g, err := w.Graphs.Preload(sub.Dataset)
 	if err != nil {
 		status := http.StatusInternalServerError

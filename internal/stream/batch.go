@@ -3,9 +3,8 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"hare/internal/engine"
 	"hare/internal/motif"
 	"hare/internal/temporal"
 )
@@ -16,13 +15,13 @@ import (
 // cmd/harestream) can use it to tell which side of the trade they are on.
 const MinParallelBatch = 256
 
-// batchChunk is the number of edges per dynamic work unit in the scan
-// phases (the engine package's chunked-cursor discipline).
+// batchChunk is the number of edges per engine.Dispatch work unit in the
+// scan phases.
 const batchChunk = 256
 
 // AddBatch ingests a batch of edges, equivalent to calling Add for each in
 // order but fanned out over the counter's workers: windows are appended
-// shard-parallel, then every batch edge's arrival scan (and, in sliding
+// in parallel, then every batch edge's arrival scan (and, in sliding
 // mode, every expiry's retirement scan) runs concurrently into per-worker
 // private counters that are merged at the end. Because each edge's scans
 // are bounded by explicit (EdgeID, time) predicates rather than by mutable
@@ -69,7 +68,8 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 		return nil
 	}
 
-	// Assign IDs up front; the counting phases only need (id, u, v, t).
+	// Assign IDs and resolve node slots up front, sequentially; the
+	// parallel phases below then only read c.windows' backing array.
 	recs := make([]edgeRec, 0, len(edges))
 	id := c.nextID
 	for _, e := range edges {
@@ -77,12 +77,12 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 			c.loops++
 			continue
 		}
-		recs = append(recs, edgeRec{id: id, u: e.From, v: e.To, t: e.Time})
+		recs = append(recs, edgeRec{id: id, u: c.slot(e.From), v: c.slot(e.To), t: e.Time})
 		id++
 	}
 	c.nextID = id
 	c.started, c.lastT = true, last
-	cutoff := last - c.opts.Delta
+	cutoff := temporal.WindowStart(last, c.opts.Delta)
 	if len(recs) == 0 {
 		// Nothing to count, but the watermark still advanced: expire what
 		// fell out of the window, as a loop of Add calls would have.
@@ -92,28 +92,24 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 		return nil
 	}
 
-	// Bucket the batch's half-edges by owning worker in one O(n) pass: each
-	// worker owns a fixed subset of shards, and a bucket entry names a rec
-	// index plus which endpoint's half belongs to that worker. Buckets are
-	// filled in batch order, so per-node append order (= EdgeID order) in
-	// the phases below is deterministic.
+	// Bucket the batch's half-edges by slot mod workers in one O(n) pass:
+	// a bucket entry names a rec index plus which endpoint's half it holds.
+	// Buckets partition the nodes and are filled in batch order, so per-node
+	// append order (= EdgeID order) in the phases below is deterministic.
 	buckets := make([][]int32, workers)
 	for i, r := range recs {
-		gu := int(shardOf(r.u, c.shardBits)) % workers
+		gu := int(r.u) % workers
 		buckets[gu] = append(buckets[gu], int32(i)<<1)
-		gv := int(shardOf(r.v, c.shardBits)) % workers
+		gv := int(r.v) % workers
 		buckets[gv] = append(buckets[gv], int32(i)<<1|1)
 	}
 
-	// Phase 1: append both half-edges of every batch edge, shard-parallel.
-	c.parallel(workers, func(w int) {
-		for _, ref := range buckets[w] {
-			r := recs[ref>>1]
-			if ref&1 == 0 {
-				c.window(r.u).push(r.id, r.t, r.v, true)
-			} else {
-				c.window(r.v).push(r.id, r.t, r.u, false)
-			}
+	// Phase 1: append both half-edges of every batch edge.
+	c.eachHalf(workers, buckets, recs, func(w *nodeWindow, r edgeRec, out bool) {
+		if out {
+			w.push(r.id, r.t, r.v, true)
+		} else {
+			w.push(r.id, r.t, r.u, false)
 		}
 	})
 
@@ -136,55 +132,45 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 		c.fifo.compact()
 	}
 
-	// Phase 4: reclaim expired window prefixes, shard-parallel. Purely a
-	// memory operation: the scans above never look behind the cutoff.
-	c.parallel(workers, func(w int) {
-		for _, ref := range buckets[w] {
-			r := recs[ref>>1]
-			if ref&1 == 0 {
-				c.peek(r.u).trim(cutoff)
-			} else {
-				c.peek(r.v).trim(cutoff)
+	// Phase 4: reclaim expired window prefixes. Purely a memory operation:
+	// the scans above never look behind the cutoff.
+	c.eachHalf(workers, buckets, recs, func(w *nodeWindow, _ edgeRec, _ bool) { w.trim(cutoff) })
+	return nil
+}
+
+// eachHalf runs fn on the window of every half-edge in buckets, one bucket
+// per work unit, so no window is touched by two goroutines. out tells which
+// endpoint's half it is (the source's when true).
+func (c *Counter) eachHalf(workers int, buckets [][]int32, recs []edgeRec, fn func(w *nodeWindow, r edgeRec, out bool)) {
+	engine.Dispatch(workers, 1, len(buckets), func(_, lo, hi int) {
+		for _, bucket := range buckets[lo:hi] {
+			for _, ref := range bucket {
+				r := recs[ref>>1]
+				if ref&1 == 0 {
+					fn(&c.windows[r.u], r, true)
+				} else {
+					fn(&c.windows[r.v], r, false)
+				}
 			}
 		}
 	})
-	return nil
 }
 
 // scanPhase fans the per-edge scans of recs out over workers with private
 // counters, then merges them into the counter's tallies (retire selects the
 // retirement kernels and the retired accumulator).
 func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
-	for len(c.workerScratch) < workers {
-		c.workerScratch = append(c.workerScratch, newScratch())
+	for len(c.kerns) < workers {
+		c.kerns = append(c.kerns, newKernel())
 	}
 	perWorker := make([]motif.Counts, workers)
-	var cursor atomic.Int64
-	c.parallel(workers, func(w int) {
-		counts := &perWorker[w]
-		counts.TriMultiplicity = 1
-		kern := c.workerScratch[w]
-		for {
-			end := cursor.Add(batchChunk)
-			start := end - batchChunk
-			if start >= int64(len(recs)) {
-				return
-			}
-			if end > int64(len(recs)) {
-				end = int64(len(recs))
-			}
-			for _, r := range recs[start:end] {
-				var pop int
-				if retire {
-					uw := c.peek(r.u).after(r.id, r.t+c.opts.Delta)
-					vw := c.peek(r.v).after(r.id, r.t+c.opts.Delta)
-					pop = kern.countRetire(counts, uw, vw, r.u, r.v)
-				} else {
-					uw := c.peek(r.u).before(r.t-c.opts.Delta, r.id)
-					vw := c.peek(r.v).before(r.t-c.opts.Delta, r.id)
-					pop = kern.countArrival(counts, uw, vw, r.u, r.v)
-				}
-				kern.shed(pop)
+	engine.Dispatch(workers, batchChunk, len(recs), func(w, lo, hi int) {
+		k, counts := c.kerns[w], &perWorker[w]
+		for _, r := range recs[lo:hi] {
+			if retire {
+				c.retire(k, counts, r)
+			} else {
+				c.arrive(k, counts, r)
 			}
 		}
 	})
@@ -195,16 +181,4 @@ func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
 	for w := range perWorker {
 		total.Add(&perWorker[w])
 	}
-}
-
-func (c *Counter) parallel(workers int, fn func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
 }

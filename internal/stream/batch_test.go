@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -348,41 +347,6 @@ func TestNewCounterValidation(t *testing.T) {
 	}
 	if _, err := NewCounter(Options{Delta: 1, Mode: Mode(7)}); err == nil {
 		t.Fatal("want error for unknown mode")
-	}
-}
-
-// TestScratchShedding checks the documented memory policy: after a
-// pathological high-degree burst, the scratch maps are reallocated (not
-// just cleared) once traffic calms down, releasing the burst's buckets.
-func TestScratchShedding(t *testing.T) {
-	c, err := New(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burst: one hub talks to shedFloor+ distinct neighbors inside the
-	// window, so a scan populates > shedFloor map entries.
-	for i := 0; i < shedFloor+128; i++ {
-		if err := c.Add(0, temporal.NodeID(i+1), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	burstMap := reflect.ValueOf(c.kern.runIn).Pointer()
-	if c.kern.peak < shedFloor {
-		t.Fatalf("burst peak = %d, want >= %d", c.kern.peak, shedFloor)
-	}
-	// Quiet traffic on fresh nodes: tiny windows, population far below the
-	// high-water mark — the maps must be swapped for small ones.
-	base := temporal.NodeID(shedFloor + 1000)
-	for i := 0; i < 4; i++ {
-		if err := c.Add(base+temporal.NodeID(i), base+temporal.NodeID(i+1), int64(shedFloor+200+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reflect.ValueOf(c.kern.runIn).Pointer(); got == burstMap {
-		t.Fatal("scratch maps not reallocated after burst subsided")
-	}
-	if c.kern.peak >= shedFloor {
-		t.Fatalf("high-water mark not reset: %d", c.kern.peak)
 	}
 }
 

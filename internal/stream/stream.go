@@ -9,24 +9,26 @@
 // edge and scanning forward (Algorithm 1), the newest edge is the *last*
 // edge of every newly completed instance, and one backward scan over each
 // endpoint's δ-window counts the completed star/pair triples while a
-// shared-neighbor join between the two windows enumerates the completed
-// triangles. Per-edge cost is O(d^δ) for stars/pairs plus output-sensitive
-// work for triangles — the same asymptotics as batch FAST, paid
-// incrementally. Sliding mode additionally runs the time-mirrored scans
-// when an edge expires: the expiring edge is the *first* edge of every
-// instance leaving the window, so the same kernels retire them exactly.
+// shared-neighbor join between the two windows counts the completed
+// triangles. Per-edge cost is O(d^δ) for stars, pairs and triangles alike,
+// paid incrementally. Sliding mode additionally retires instances when an edge
+// expires: the expiring edge is the *first* edge of every instance leaving
+// the window, so Algorithm 1 run for that one first edge retires them
+// exactly.
 //
-// Per-node window state is sharded by node hash, and AddBatch fans a batch
-// of edges out over worker goroutines with private per-worker counters
-// merged at the end (the engine package's reduction discipline), so ingest
-// throughput and state maintenance both scale across cores while results
-// stay bit-identical to sequential Add and to batch hare.Count.
+// The scans count on batch FAST's dense scratch (fast.Scratch). Each node
+// gets a dense slot on first sight, and windows, scratch counters and the
+// expiry queue are all indexed by slot, so state is bounded by the distinct
+// nodes seen rather than by the node-ID range. AddBatch fans a batch of
+// edges out over worker goroutines (engine.Dispatch) with private
+// per-worker counters merged at the end, so ingest throughput and state
+// maintenance both scale across cores while results stay bit-identical to
+// sequential Add and to batch hare.Count.
 package stream
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 
 	"hare/internal/motif"
@@ -48,7 +50,7 @@ const (
 )
 
 // Options configures a Counter. The zero value of everything but Delta is
-// usable: cumulative mode, GOMAXPROCS batch workers, automatic shard count.
+// usable: cumulative mode, GOMAXPROCS batch workers.
 type Options struct {
 	// Delta is the motif window δ (>= 0).
 	Delta temporal.Timestamp
@@ -57,18 +59,16 @@ type Options struct {
 	// Workers is the goroutine count for AddBatch fan-out. <= 0 selects
 	// runtime.GOMAXPROCS(0). Sequential Add ignores it.
 	Workers int
-	// Shards is the number of node-window shards (rounded up to a power of
-	// two). <= 0 derives it from Workers. More shards than workers keeps
-	// the per-shard append loops balanced under skewed node hashes.
-	Shards int
 }
 
 // Counter is an exact online motif counter. The zero value is not usable;
 // call New or NewCounter.
 type Counter struct {
-	opts      Options
-	shardBits uint
-	shards    []windowShard
+	opts Options
+	// slots gives each node its dense slot on first sight; windows is
+	// indexed by slot. Only slot resolution touches the map.
+	slots   map[temporal.NodeID]temporal.NodeID
+	windows []nodeWindow
 
 	counts  motif.Counts // completed instances (cumulative)
 	retired motif.Counts // expired instances (sliding mode only)
@@ -79,8 +79,7 @@ type Counter struct {
 	started bool
 	loops   uint64
 
-	kern          *scratch   // sequential-path scratch
-	workerScratch []*scratch // batch workers' scratches, grown on demand
+	kerns []*kernel // per-worker scratch sets, grown on demand; Add uses kerns[0]
 }
 
 // New returns an empty cumulative Counter with the given window δ.
@@ -104,25 +103,13 @@ func NewCounter(opts Options) (*Counter, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 4 * opts.Workers
-	}
-	bitsN := uint(bits.Len(uint(opts.Shards - 1)))
-	if bitsN == 0 {
-		bitsN = 1 // at least two shards so shardOf's shift stays in range
-	}
-	c := &Counter{
-		opts:      opts,
-		shardBits: bitsN,
-		shards:    make([]windowShard, 1<<bitsN),
-		counts:    motif.Counts{TriMultiplicity: 1},
-		retired:   motif.Counts{TriMultiplicity: 1},
-		kern:      newScratch(),
-	}
-	for i := range c.shards {
-		c.shards[i].windows = make(map[temporal.NodeID]*nodeWindow)
-	}
-	return c, nil
+	return &Counter{
+		opts:    opts,
+		slots:   make(map[temporal.NodeID]temporal.NodeID),
+		counts:  motif.Counts{TriMultiplicity: 1},
+		retired: motif.Counts{TriMultiplicity: 1},
+		kerns:   []*kernel{newKernel()},
+	}, nil
 }
 
 // Delta returns the counter's window.
@@ -154,14 +141,29 @@ func (c *Counter) WindowMatrix() (motif.Matrix, error) {
 	return live.ToMatrix(), nil
 }
 
-// window returns node u's window, creating it if needed.
-func (c *Counter) window(u temporal.NodeID) *nodeWindow {
-	return c.shards[shardOf(u, c.shardBits)].window(u)
+// slot returns node u's slot, assigning the next one (and an empty window)
+// on first sight. It may reallocate c.windows.
+func (c *Counter) slot(u temporal.NodeID) temporal.NodeID {
+	s, ok := c.slots[u]
+	if !ok {
+		s = temporal.NodeID(len(c.windows))
+		c.slots[u] = s
+		c.windows = append(c.windows, nodeWindow{})
+	}
+	return s
 }
 
-// peek returns node u's window or nil, without creating it.
-func (c *Counter) peek(u temporal.NodeID) *nodeWindow {
-	return c.shards[shardOf(u, c.shardBits)].windows[u]
+// arrive adds the instances the edge r completes to counts.
+func (c *Counter) arrive(k *kernel, counts *motif.Counts, r edgeRec) {
+	cutoff := temporal.WindowStart(r.t, c.opts.Delta)
+	k.countArrival(counts, c.windows[r.u].before(cutoff, r.id), c.windows[r.v].before(cutoff, r.id), r.u, r.v)
+}
+
+// retire adds the still-live instances the expiring edge r leads to counts.
+// r is still in both endpoint windows: trim only drops edges older than a
+// cutoff the expiry queue has already popped.
+func (c *Counter) retire(k *kernel, counts *motif.Counts, r edgeRec) {
+	k.countRetire(counts, c.opts.Delta, c.windows[r.u].from(r.id), c.windows[r.v].from(r.id))
 }
 
 // Add ingests the directed edge u -> v at time t. Times must be
@@ -185,7 +187,7 @@ func (c *Counter) Add(u, v temporal.NodeID, t temporal.Timestamp) error {
 
 func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp) {
 	c.started, c.lastT = true, t
-	cutoff := t - c.opts.Delta
+	cutoff := temporal.WindowStart(t, c.opts.Delta)
 	if c.opts.Mode == Sliding {
 		c.retireExpired(cutoff)
 	}
@@ -193,21 +195,17 @@ func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp) {
 		c.loops++
 		return
 	}
-	id := c.nextID
+	r := edgeRec{id: c.nextID, u: c.slot(u), v: c.slot(v), t: t}
 	c.nextID++
+	c.arrive(c.kerns[0], &c.counts, r)
 
-	wu, wv := c.window(u), c.window(v)
-	uw := wu.before(cutoff, id)
-	vw := wv.before(cutoff, id)
-	pop := c.kern.countArrival(&c.counts, uw, vw, u, v)
-	c.kern.shed(pop)
-
-	wu.push(id, t, v, true)
-	wv.push(id, t, u, false)
+	wu, wv := &c.windows[r.u], &c.windows[r.v]
+	wu.push(r.id, t, r.v, true)
+	wv.push(r.id, t, r.u, false)
 	wu.trim(cutoff)
 	wv.trim(cutoff)
 	if c.opts.Mode == Sliding {
-		c.fifo.push(edgeRec{id: id, u: u, v: v, t: t})
+		c.fifo.push(r)
 	}
 }
 
@@ -215,13 +213,10 @@ func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp) {
 // instances it leads. Pops happen in EdgeID order, so each expiring edge is
 // the chronologically first edge of every instance it still participates
 // in; its companions are exactly the in-window edges that follow it
-// (ID greater, time within δ) — see scratch.countRetire.
+// (ID greater, time within δ) — see kernel.countRetire.
 func (c *Counter) retireExpired(cutoff temporal.Timestamp) {
 	for _, r := range c.fifo.popExpired(cutoff) {
-		uw := c.peek(r.u).after(r.id, r.t+c.opts.Delta)
-		vw := c.peek(r.v).after(r.id, r.t+c.opts.Delta)
-		pop := c.kern.countRetire(&c.retired, uw, vw, r.u, r.v)
-		c.kern.shed(pop)
+		c.retire(c.kerns[0], &c.retired, r)
 	}
 	c.fifo.compact()
 }
@@ -236,7 +231,7 @@ func (c *Counter) Advance(t temporal.Timestamp) error {
 	}
 	c.started, c.lastT = true, t
 	if c.opts.Mode == Sliding {
-		c.retireExpired(t - c.opts.Delta)
+		c.retireExpired(temporal.WindowStart(t, c.opts.Delta))
 	}
 	return nil
 }

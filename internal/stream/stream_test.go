@@ -143,7 +143,7 @@ func TestStreamWindowTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w := c.peek(0)
+	w := &c.windows[c.slots[0]]
 	if live := w.live().Len(); live > 2 {
 		t.Fatalf("window kept %d live edges, want <= 2", live)
 	}

@@ -7,11 +7,11 @@ import (
 )
 
 // nodeWindow is one node's edge history in the same columnar layout as the
-// batch graph's CSR spans: four parallel arrays sorted by EdgeID
-// (equivalently by time, since ingestion is chronological). Expired edges
-// are trimmed lazily; the backing columns are compacted once the live region
-// falls below half the capacity, keeping amortised O(1) appends and O(d^δ)
-// memory.
+// batch graph's CSR spans, with the far endpoint stored as its node slot:
+// four parallel arrays sorted by EdgeID (equivalently by time, since
+// ingestion is chronological). Expired edges are trimmed lazily; the backing
+// columns are compacted once the live region falls below half the capacity,
+// keeping amortised O(1) appends and O(d^δ) memory.
 //
 // All counting scans slice the window by explicit (EdgeID, Timestamp)
 // predicates rather than by the head pointer, so trimming is pure memory
@@ -62,9 +62,6 @@ func (w *nodeWindow) live() temporal.Seq {
 // δ-window an arriving edge with that (id, time) sees. The result aliases
 // the backing columns and is invalidated by the next push or trim.
 func (w *nodeWindow) before(minTime temporal.Timestamp, id temporal.EdgeID) temporal.Seq {
-	if w == nil {
-		return temporal.Seq{}
-	}
 	live := w.live()
 	lo := live.LowerBoundTime(minTime)
 	hi := sort.Search(live.Len(), func(i int) bool { return live.ID[i] >= id })
@@ -74,45 +71,14 @@ func (w *nodeWindow) before(minTime temporal.Timestamp, id temporal.EdgeID) temp
 	return live.Slice(lo, hi)
 }
 
-// after returns the window edges with ID > id and Time <= maxTime: the
-// in-window successors a retiring edge with that (id, time+δ) had. Same
-// aliasing caveat as before.
-func (w *nodeWindow) after(id temporal.EdgeID, maxTime temporal.Timestamp) temporal.Seq {
-	if w == nil {
-		return temporal.Seq{}
-	}
-	live := w.live()
-	lo := sort.Search(live.Len(), func(i int) bool { return live.ID[i] > id })
-	hi := live.UpperBoundTime(maxTime)
-	if lo >= hi {
-		return temporal.Seq{}
-	}
-	return live.Slice(lo, hi)
+// from returns the live window starting at the edge with EdgeID id, which
+// must not have been trimmed yet. Same aliasing caveat as before.
+func (w *nodeWindow) from(id temporal.EdgeID) temporal.Seq {
+	return w.live().After(id - 1)
 }
 
-// windowShard owns the δ-windows of the nodes hashing to it. Shards
-// partition per-node state so that the batched ingest path can append and
-// trim concurrently, one goroutine per shard group, with no locking.
-type windowShard struct {
-	windows map[temporal.NodeID]*nodeWindow
-}
-
-func (s *windowShard) window(u temporal.NodeID) *nodeWindow {
-	w := s.windows[u]
-	if w == nil {
-		w = &nodeWindow{}
-		s.windows[u] = w
-	}
-	return w
-}
-
-// shardOf hashes a node to its shard with Fibonacci multiplicative hashing;
-// shards is always a power of two.
-func shardOf(u temporal.NodeID, shardBits uint) uint32 {
-	return (uint32(u) * 0x9E3779B9) >> (32 - shardBits)
-}
-
-// edgeRec is one live edge queued for expiry in sliding-window mode.
+// edgeRec is one edge of the batch or expiry queue, its endpoints given as
+// node slots.
 type edgeRec struct {
 	id   temporal.EdgeID
 	u, v temporal.NodeID

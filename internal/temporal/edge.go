@@ -18,7 +18,10 @@
 // across all algorithms even when timestamps collide.
 package temporal
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID identifies a node. Nodes are dense integers in [0, NumNodes).
 type NodeID = int32
@@ -31,6 +34,26 @@ type EdgeID = int32
 // Timestamp is an edge's time in arbitrary integer units (seconds in all of
 // the paper's datasets).
 type Timestamp = int64
+
+// WindowStart returns t-δ saturated at the smallest Timestamp, so that
+// "s >= WindowStart(t, δ)" is exactly "t-s <= δ" for s <= t, without
+// overflow. δ must be >= 0.
+func WindowStart(t, delta Timestamp) Timestamp {
+	if t < math.MinInt64+delta {
+		return math.MinInt64
+	}
+	return t - delta
+}
+
+// WindowEnd returns t+δ saturated at the largest Timestamp, so that
+// "s > WindowEnd(t, δ)" is exactly "s-t > δ", without overflow. δ must be
+// >= 0.
+func WindowEnd(t, delta Timestamp) Timestamp {
+	if t > math.MaxInt64-delta {
+		return math.MaxInt64
+	}
+	return t + delta
+}
 
 // Edge is a directed temporal edge From -> To at time Time.
 type Edge struct {

@@ -1,6 +1,9 @@
 package temporal
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestEdgeString(t *testing.T) {
 	e := Edge{From: 3, To: 7, Time: 42}
@@ -52,5 +55,24 @@ func TestNegativeTimestampsAllowed(t *testing.T) {
 	min, max, ok := g.TimeSpan()
 	if !ok || min != -100 || max != -50 {
 		t.Fatalf("span = (%d,%d,%v)", min, max, ok)
+	}
+}
+
+func TestWindowBoundsSaturate(t *testing.T) {
+	cases := []struct{ t, delta, start, end Timestamp }{
+		{100, 10, 90, 110},
+		{0, 0, 0, 0},
+		{math.MinInt64 + 3, 10, math.MinInt64, math.MinInt64 + 13},
+		{math.MaxInt64 - 3, 10, math.MaxInt64 - 13, math.MaxInt64},
+		{-1, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1},
+		{1, math.MaxInt64, math.MinInt64 + 2, math.MaxInt64},
+	}
+	for _, c := range cases {
+		if got := WindowStart(c.t, c.delta); got != c.start {
+			t.Errorf("WindowStart(%d, %d) = %d, want %d", c.t, c.delta, got, c.start)
+		}
+		if got := WindowEnd(c.t, c.delta); got != c.end {
+			t.Errorf("WindowEnd(%d, %d) = %d, want %d", c.t, c.delta, got, c.end)
+		}
 	}
 }

@@ -27,7 +27,7 @@ const (
 )
 
 // StreamOptions configures NewStreamCounter: window δ, mode, and the
-// worker/shard fan-out of the batched ingest path.
+// worker fan-out of the batched ingest path.
 type StreamOptions = stream.Options
 
 // StreamFeedOptions configures StreamCounter.Feed (batch size and the
